@@ -59,6 +59,14 @@ class PeriodCandidate:
             raise ValueError("lag must be positive")
 
 
+def _check_min_lag(min_lag: int) -> None:
+    # Lag 0 is the no-candidate marker of the batched result, and
+    # PeriodCandidate rejects non-positive lags: refuse it up front, the
+    # same way on every entry point.
+    if min_lag < 1:
+        raise ValueError(f"min_lag must be >= 1, got {min_lag}")
+
+
 def _minima_arrays(
     profile: np.ndarray, min_lag: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -120,6 +128,7 @@ def find_local_minima(profile: np.ndarray, *, min_lag: int = 1) -> list[PeriodCa
     below their single neighbour, so that a monotonically decreasing
     profile still yields its final lag as a candidate.
     """
+    _check_min_lag(min_lag)
     lags, found, depths = _minima_arrays(profile, min_lag)
     return [
         PeriodCandidate(lag=int(lag), distance=float(value), depth=float(depth))
@@ -172,6 +181,7 @@ def select_period(
     stream is considered aperiodic over the current window).
     """
     check_positive(harmonic_tolerance + 1e-12, "harmonic_tolerance")
+    _check_min_lag(min_lag)
     lags, found, depths = _minima_arrays(profile, min_lag)
     keep = depths >= min_depth
     if not np.any(keep):
@@ -213,11 +223,7 @@ def select_periods_batch(
         :class:`PeriodCandidate` the per-stream call would build.
     """
     check_positive(harmonic_tolerance + 1e-12, "harmonic_tolerance")
-    if min_lag < 1:
-        # Lag 0 is the no-candidate marker of the batched result; the
-        # scalar path cannot select it either (PeriodCandidate rejects
-        # non-positive lags).
-        raise ValueError(f"min_lag must be >= 1, got {min_lag}")
+    _check_min_lag(min_lag)
     P = np.asarray(profiles, dtype=float)
     if P.ndim != 2:
         raise ValueError(f"profiles must be 2-D (streams, lags), got shape {P.shape}")

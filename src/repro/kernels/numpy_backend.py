@@ -110,9 +110,10 @@ def harmonic_kept_mask(
 ) -> np.ndarray:
     """Harmonic-filter survivor mask over lag-sorted candidate arrays.
 
-    The array-level core of :func:`repro.core.minima.filter_harmonics`,
-    shared with the batched selection so both paths keep identical
-    candidates.
+    The array-level core of :func:`repro.core.minima.filter_harmonics`
+    and :func:`repro.core.minima.select_period`.  The batched selection
+    resolves whole blocks of rows with the same rule instead
+    (:func:`_resolve_block`).
     """
     # suppresses[i, j]: candidate i, *if kept*, drops candidate j.
     ratio_exact = (lags[None, :] % lags[:, None]) == 0
@@ -184,16 +185,95 @@ def _minima_matrix(
     return is_min, depths
 
 
+#: Element budget of one block's ``(rows, K, K)`` suppression tensor: its
+#: transient arrays stay around a megabyte each however many rows fall
+#: into the widest candidate bucket.
+_BLOCK_ELEMENTS = 1 << 18
+
+
+def _resolve_harmonics(
+    qualifies: np.ndarray, depths: np.ndarray, tolerance: float
+) -> np.ndarray:
+    """Winning lag of every row: :func:`best_candidate_index` for a block.
+
+    Row ``r`` holds one profile's qualifying-candidate mask and depths
+    (at least one candidate per row).  Rows are grouped into
+    power-of-two buckets of their candidate count ``K`` so that a row
+    with few minima is not padded to the widest one, and each bucket is
+    cut into blocks of at most ``_BLOCK_ELEMENTS`` tensor elements.
+    """
+    counts = qualifies.sum(axis=1)
+    widths = 1 << np.ceil(np.log2(counts)).astype(np.int64)
+    best = np.empty(counts.size, dtype=np.int64)
+    for width in np.unique(widths).tolist():
+        members = np.flatnonzero(widths == width)
+        step = max(1, _BLOCK_ELEMENTS // (width * width))
+        for lo in range(0, members.size, step):
+            rows = members[lo : lo + step]
+            best[rows] = _resolve_block(
+                qualifies[rows], depths[rows], counts[rows], width, tolerance
+            )
+    return best
+
+
+def _resolve_block(
+    qualifies: np.ndarray,
+    depths: np.ndarray,
+    counts: np.ndarray,
+    width: int,
+    tolerance: float,
+) -> np.ndarray:
+    """Harmonic filter plus tie break for rows of at most ``width`` candidates.
+
+    The candidates of each row are compacted, in ascending lag order,
+    into padded ``(rows, width)`` lag/depth arrays.  ``drops[r, i, j]``
+    is :func:`harmonic_kept_mask`'s ``suppresses[i, j]`` for row ``r``.
+    The kept set is its unique fixed point: ``drops`` only points from a
+    lag to a multiple of it, so every chain is at most ``log2(max lag)``
+    long and the whole-block iteration settles within that many rounds
+    plus one (one more round confirms it).  Each round counts, per
+    candidate, the kept candidates that drop it as a float32 batched
+    matmul, exact for counts below 2**24.
+    """
+    streams = counts.size
+    row_of, cols = np.nonzero(qualifies)
+    slot = np.arange(cols.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    lags = np.ones((streams, width), dtype=np.int32)
+    lags[row_of, slot] = cols
+    cand_depths = np.full((streams, width), -np.inf)
+    cand_depths[row_of, slot] = depths[row_of, cols]
+    valid = np.arange(width)[None, :] < counts[:, None]
+    drops = (lags[:, None, :] % lags[:, :, None]) == 0
+    drops &= cand_depths[:, None, :] <= cand_depths[:, :, None] + tolerance
+    drops &= np.triu(np.ones((width, width), dtype=bool), 1)
+    drops &= valid[:, None, :]
+    weights = drops.astype(np.float32)
+    kept = valid
+    while True:
+        dropped = np.matmul(kept[:, None, :].astype(np.float32), weights)[:, 0, :]
+        settled = valid & (dropped == 0)
+        if np.array_equal(settled, kept):
+            break
+        kept = settled
+    # Deepest kept candidate; argmax returns the first maximum, which is
+    # the smallest lag on an exact depth tie.  Slot 0 is always kept.
+    winner = np.where(kept, cand_depths, -np.inf).argmax(axis=1)
+    return lags[np.arange(streams), winner]
+
+
 def select_periods_batch_impl(
     P: np.ndarray, min_lag: int, min_depth: float, harmonic_tolerance: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Whole-matrix period selection (see ``minima.select_periods_batch``).
 
     The local-minimum search, depth computation and ``min_depth`` gate
-    run as single whole-matrix passes; two sufficient-condition fast
-    paths settle ~all rows of a locked periodic fleet without per-row
-    Python, and only rows with genuinely competing minima pay the
-    compact-array harmonic resolution.
+    run as single whole-matrix passes.  Two sufficient-condition fast
+    paths then settle the rows of a locked, clean periodic fleet.  They
+    cannot settle rows with competing minima, which noisy profiles have
+    in numbers (about a third of the rows of a fleet of noisy sines);
+    those rows go to a block resolver that runs the harmonic filter and
+    tie break for all of them at once (:func:`_resolve_harmonics`).  No
+    step loops over rows in Python.
     """
     streams = P.shape[0]
     out_lags = np.zeros(streams, dtype=np.int64)
@@ -208,10 +288,10 @@ def select_periods_batch_impl(
     if not has_any.any():
         return out_lags, out_dist, out_depth
     # Whole-matrix fast paths: two sufficient conditions, each settling a
-    # row with no per-row Python, together covering essentially every
-    # evaluation of a locked periodic stream (minima at p, 2p, 3p, ...
-    # plus the odd shallow spurious minimum); only rows with genuinely
-    # competing minima pay the compact-array resolution below.
+    # row with a few whole-matrix passes, together covering essentially
+    # every evaluation of a locked clean periodic stream (minima at p, 2p,
+    # 3p, ... plus the odd shallow spurious minimum); only rows with
+    # genuinely competing minima pay the block resolution below.
     #
     # (A) Let m0 be the row's smallest qualifying lag.  Nothing can
     #     suppress m0 (suppression needs a smaller kept lag), so m0
@@ -245,23 +325,15 @@ def select_periods_batch_impl(
         threat = qualifies & divisor & (depths + harmonic_tolerance >= dmax[:, None])
         fast_b = has_any & ~fast_a & ~threat.any(axis=1)
     # When A and B both hold they provably agree, so precedence is moot.
-    for rows, best_fast in (
-        (np.flatnonzero(fast_a), first),
-        (np.flatnonzero(fast_b), jstar),
-    ):
-        best = best_fast[rows]
-        out_lags[rows] = best
-        out_dist[rows] = P[rows, best]
-        out_depth[rows] = depths[rows, best]
-    for row in np.flatnonzero(has_any & ~fast_a & ~fast_b):
-        cols = np.flatnonzero(qualifies[row])
-        if cols.size == 1:
-            best = cols[0]
-        else:
-            best = cols[best_candidate_index(
-                cols.astype(np.int64), depths[row, cols], harmonic_tolerance
-            )]
-        out_lags[row] = best
-        out_dist[row] = P[row, best]
-        out_depth[row] = depths[row, best]
+    best = np.where(fast_a, first, jstar)
+    fallback = np.flatnonzero(has_any & ~fast_a & ~fast_b)
+    if fallback.size:
+        best[fallback] = _resolve_harmonics(
+            qualifies[fallback], depths[fallback], harmonic_tolerance
+        )
+    rows = np.flatnonzero(has_any)
+    best = best[rows]
+    out_lags[rows] = best
+    out_dist[rows] = P[rows, best]
+    out_depth[rows] = depths[rows, best]
     return out_lags, out_dist, out_depth

@@ -1,5 +1,7 @@
 """Tests for local-minimum search and harmonic filtering."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -40,6 +42,15 @@ class TestFindLocalMinima:
     def test_candidate_requires_positive_lag(self):
         with pytest.raises(ValueError):
             PeriodCandidate(lag=0, distance=0.0, depth=1.0)
+
+    def test_rejects_min_lag_below_one_up_front(self):
+        # Same check and message as select_periods_batch, raised before
+        # any search (so no candidate at lag 0 is ever built).
+        profile = np.array([0.0, 3.0, 1.0, 4.0, 0.5, 3.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="min_lag must be >= 1, got 0"):
+                find_local_minima(profile, min_lag=0)
 
 
 class TestFilterHarmonics:
@@ -151,6 +162,15 @@ class TestSelectPeriod:
         choice = select_period(profile, min_depth=0.2)
         assert choice is not None
         assert choice.lag == 9
+
+    def test_rejects_min_lag_below_one_up_front(self):
+        # Unchecked, lag 0 would reach the harmonic filter (``lags % 0``)
+        # and then PeriodCandidate.
+        profile = np.array([0.0, 3.0, 1.0, 4.0, 0.5, 3.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="min_lag must be >= 1, got 0"):
+                select_period(profile, min_lag=0)
 
     def test_min_depth_threshold(self):
         profile = profile_for([0, 3, 1, 4, 2], 8, 20)
