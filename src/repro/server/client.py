@@ -608,9 +608,6 @@ class DetectionClient:
         """
         out: list[PeriodStartEvent] = []
         for event in batch:
-            if event.seq < 0:  # unsequenced (pre-seq server): pass through
-                out.append(event)
-                continue
             last = self._last_seq.get(event.stream_id)
             if self._auto_replay and last is not None and event.seq > last + 1:
                 recovered, first_available = self.replay(
@@ -756,6 +753,10 @@ class AsyncDetectionClient:
         self._max_protocol = max_protocol
         self._version = protocol.BASELINE_VERSION
         self._handles = _HandleRegistry()
+        # Hot requests that must wait for a REGISTER queue here, FIFO;
+        # while any waits, later ones queue too (see _ensure_handles).
+        self._register_lock = asyncio.Lock()
+        self._registering = 0
         # Per stream (named as delivered), the last seq handed to the
         # consumer; seeded from resume_seqs on a reconnect.
         self._last_seq: dict[str, int] = dict(resume_seqs or {})
@@ -934,14 +935,27 @@ class AsyncDetectionClient:
         return DetectionClient._check(await future)
 
     async def _ensure_handles(self, ids: Sequence[str]) -> list[int]:
-        """Handles for ``ids``, registering the missing ones (one request)."""
+        """Handles for ``ids``, registering the missing ones (one request).
+
+        Returns in call order, because each caller sends its hot frame
+        right after: a later frame must not overtake one still waiting
+        for its REGISTER reply, or a stream's samples arrive reordered.
+        """
         known = self._handles.of_name
-        missing = [sid for sid in ids if sid not in known]
-        if missing:
-            reply = await self._request(FrameType.REGISTER, {"streams": missing})
-            for sid, handle in zip(missing, reply.meta["handles"]):
-                self._handles.learn(sid, int(handle))
-        return [known[sid] for sid in ids]
+        if not self._registering and all(sid in known for sid in ids):
+            return [known[sid] for sid in ids]
+        self._registering += 1
+        try:
+            async with self._register_lock:
+                missing = [sid for sid in ids if sid not in known]
+                if missing:
+                    meta = {"streams": missing}
+                    reply = await self._request(FrameType.REGISTER, meta)
+                    for sid, handle in zip(missing, reply.meta["handles"]):
+                        self._handles.learn(sid, int(handle))
+                return [known[sid] for sid in ids]
+        finally:
+            self._registering -= 1
 
     def _events_of(self, frame: Frame) -> list[PeriodStartEvent]:
         if frame.type in (FrameType.EVENTS_HOT, FrameType.EVENT_HOT):
@@ -1077,9 +1091,6 @@ class AsyncDetectionClient:
             return None
         out: list[PeriodStartEvent] = []
         for event in batch:
-            if event.seq < 0:  # unsequenced (pre-seq server): pass through
-                out.append(event)
-                continue
             last = self._last_seq.get(event.stream_id)
             if self._auto_replay and last is not None and event.seq > last + 1:
                 recovered, first_available = await self.replay(

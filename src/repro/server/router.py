@@ -70,16 +70,26 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from repro.server import protocol
-from repro.server.auth import AuthError
 from repro.server.client import (
     AsyncDetectionClient,
     ConnectionClosedError,
-    ServerBusy,
     backoff_delay,
 )
-from repro.server.endpoint import Endpoint, server_ssl_context
+from repro.server.connection import (
+    Connection,
+    Daemon,
+    LoopThread,
+    check_daemon_config,
+    json_ingest_payload,
+    replay_reply,
+    replay_request,
+    request_scope,
+    restore_states,
+    snapshot_reply,
+    stream_list,
+)
+from repro.server.endpoint import Endpoint
 from repro.server.protocol import Frame, FrameType, ProtocolError
-from repro.server.server import UnknownHandleError, build_authenticator
 from repro.service.events import PeriodStartEvent
 from repro.service.sharding import HashRing
 from repro.util.logging import get_logger
@@ -89,25 +99,11 @@ __all__ = ["DetectionRouter", "RouterConfig", "RouterThread"]
 
 _logger = get_logger(__name__)
 
-_CLOSE = object()  # outbox sentinel: flush and stop the writer task
-
 #: Stream name of the loop-side replay used as a migration barrier; its
 #: reply queues behind every already-produced push on the same backend
 #: connection, so awaiting it (plus the pump's queue join) proves the
 #: old owner's events reached the upstream outbox first.
 _BARRIER_STREAM = "__router_migration_barrier__"
-
-
-def parse_backend(address: str) -> tuple[str, int]:
-    """Split a ``HOST:PORT`` backend address."""
-    host, sep, port_text = address.rpartition(":")
-    if not sep or not host:
-        raise ValidationError(f"backend address must be HOST:PORT, got {address!r}")
-    try:
-        port = int(port_text)
-    except ValueError as exc:
-        raise ValidationError(f"bad backend port in {address!r}") from exc
-    return host, port
 
 
 @dataclass
@@ -166,26 +162,12 @@ class RouterConfig:
     backend_tls_insecure: bool = False
 
     def __post_init__(self) -> None:
+        check_daemon_config(self)
         check_positive_int(self.replicas, "replicas")
-        check_positive_int(self.max_inflight, "max_inflight")
-        check_positive_int(self.push_queue, "push_queue")
         if self.connect_retries < 0:
             raise ValidationError("connect_retries must be >= 0")
         if self.retry_delay <= 0:
             raise ValidationError("retry_delay must be positive")
-        if not (
-            protocol.BASELINE_VERSION
-            <= self.max_protocol
-            <= protocol.PROTOCOL_VERSION
-        ):
-            raise ValidationError(
-                f"max_protocol must be in "
-                f"[{protocol.BASELINE_VERSION}, {protocol.PROTOCOL_VERSION}]"
-            )
-        if bool(self.tls_cert) != bool(self.tls_key):
-            raise ValidationError(
-                "tls_cert and tls_key must be given together"
-            )
 
 
 @dataclass
@@ -199,98 +181,19 @@ class _BackendLink:
     lock: asyncio.Lock = field(default_factory=asyncio.Lock)
 
 
-class _RouterConn:
-    """Per-upstream-connection state (the router's server-side half)."""
+class _RouterConn(Connection):
+    """An upstream connection plus its downstream links.
+
+    Each link is a client of one backend, created on demand, in this
+    connection's namespace, so stream names map 1:1.
+    """
 
     def __init__(self, router: "DetectionRouter", writer: asyncio.StreamWriter):
-        self.router = router
-        self.writer = writer
-        self.namespace = ""
-        self.prefix = ""
-        self.subscription: str | None = None  # None | "own" | "all"
-        self.inflight = 0
-        self.queued_pushes = 0
-        self.dropped_events = 0
-        self.dead = False
-        self.version = protocol.BASELINE_VERSION
-        # Handle table, identical contract to the server's _Connection:
-        # one intern space shared by client REGISTERs and push announces.
-        self.handle_ids: list[str] = []
-        self.handle_of: dict[str, int] = {}
-        self.peer_known: set[int] = set()
-        #: Downstream clients, one per backend, created on demand.  Each
-        #: shares this connection's namespace, so stream names map 1:1.
+        super().__init__(router, writer)
         self.links: dict[str, _BackendLink] = {}
-        cfg = router.config
-        self.outbox: asyncio.Queue = asyncio.Queue(
-            maxsize=2 * cfg.max_inflight + cfg.push_queue + 8
-        )
-        self.writer_task: asyncio.Task | None = None
-
-    # -- outbound ------------------------------------------------------
-    def enqueue_reply(self, entry) -> None:
-        try:
-            self.outbox.put_nowait(entry)
-        except asyncio.QueueFull:
-            _logger.warning(
-                "router connection %s: outbound queue overflow, closing",
-                self.namespace,
-            )
-            self.abort()
-
-    # -- handle table --------------------------------------------------
-    def intern(self, name: str) -> int:
-        handle = self.handle_of.get(name)
-        if handle is None:
-            handle = len(self.handle_ids)
-            self.handle_ids.append(name)
-            self.handle_of[name] = handle
-        return handle
-
-    def resolve_handles(self, handles: list[int]) -> list[str]:
-        table = self.handle_ids
-        names = []
-        for handle in handles:
-            if not 0 <= handle < len(table):
-                raise UnknownHandleError(
-                    f"unknown stream handle {handle}; REGISTER it first "
-                    "(handle tables are per connection and reset on reconnect)"
-                )
-            names.append(table[handle])
-        return names
-
-    def push_events(self, events: list[PeriodStartEvent]) -> None:
-        """Forward one backend push batch upstream (names pre-scoped)."""
-        if self.dead or self.queued_pushes >= self.router.config.push_queue:
-            self.dropped_events += len(events)
-            self.router.dropped_events += len(events)
-            return
-        ids = sorted({e.stream_id for e in events})
-        positions = {sid: pos for pos, sid in enumerate(ids)}
-        table = protocol.events_to_array(events, positions)
-        self.queued_pushes += 1
-        if self.version >= 3:
-            handles = []
-            announce = []
-            for sid in ids:
-                handle = self.intern(sid)
-                if handle not in self.peer_known:
-                    self.peer_known.add(handle)
-                    announce.append((handle, sid))
-                handles.append(handle)
-            self.enqueue_reply(("push_hot", handles, announce, table))
-        else:
-            self.enqueue_reply(("push", FrameType.EVENT, {"streams": ids}, (table,)))
-
-    def abort(self) -> None:
-        self.dead = True
-        try:
-            self.writer.transport.abort()
-        except Exception:  # pragma: no cover - transport already gone
-            pass
 
 
-class DetectionRouter:
+class DetectionRouter(Daemon):
     """Present N backend detection servers as one (see module docstring).
 
     Parameters
@@ -305,11 +208,14 @@ class DetectionRouter:
         Listen address, ring and queue bounds, upstream TLS + auth.
     """
 
+    role = "router"
+    namespace_tag = "r"
+    connection_class = _RouterConn
+
     def __init__(
         self, backends: Iterable[str], config: RouterConfig | None = None
     ) -> None:
-        self.config = config or RouterConfig()
-        self._auth = build_authenticator(self.config)
+        super().__init__(config or RouterConfig())
         self._backends: dict[str, Endpoint] = {}
         for address in backends:
             self._backends[address] = self._backend_endpoint(address)
@@ -320,10 +226,6 @@ class DetectionRouter:
         #: enumeration basis for migrations (ownership itself is always
         #: re-derived from the ring).
         self._placement: dict[str, str] = {}
-        self._conns: set[_RouterConn] = set()
-        self._server: asyncio.AbstractServer | None = None
-        self._conn_counter = 0
-        self._draining = False
         # Forward quiescing: migrations close the gate, wait for the
         # in-flight forwards to drain, move streams, reopen.
         self._forward_gate = asyncio.Event()
@@ -334,10 +236,6 @@ class DetectionRouter:
         self._migrate_lock = asyncio.Lock()
         # Counters + per-layer profile (cumulative seconds), surfaced by
         # STATS for the bench's --profile breakdown.
-        self.busy_replies = 0
-        self.dropped_events = 0
-        self.auth_accepted = 0
-        self.auth_rejected = 0
         self.hot_forwards = 0
         self.json_forwards = 0
         self.fanin_batches = 0
@@ -359,11 +257,7 @@ class DetectionRouter:
         ``HOST:PORT`` stays plain TCP.  Config-level backend defaults
         fill only the fields the address left unset.
         """
-        if "://" in address:
-            endpoint = Endpoint.parse(address)
-        else:
-            host, port = parse_backend(address)
-            endpoint = Endpoint(host=host, port=port)
+        endpoint = Endpoint.parse(address)
         cfg = self.config
         updates: dict = {}
         if endpoint.token is None and cfg.backend_token is not None:
@@ -379,54 +273,32 @@ class DetectionRouter:
     # ------------------------------------------------------------------
     async def start(self) -> None:
         """Bind and start serving (returns once listening)."""
-        ssl_context = (
-            server_ssl_context(self.config.tls_cert, self.config.tls_key)
-            if self.config.tls_cert
-            else None
-        )
-        self._server = await asyncio.start_server(
-            self._handle_connection,
-            self.config.host,
-            self.config.port,
-            ssl=ssl_context,
-        )
-
-    @property
-    def host(self) -> str:
-        return self._server.sockets[0].getsockname()[0]
-
-    @property
-    def port(self) -> int:
-        return self._server.sockets[0].getsockname()[1]
+        await self._listen()
 
     @property
     def backends(self) -> list[str]:
         """Current backend addresses, sorted."""
         return sorted(self._backends)
 
-    async def serve_forever(self) -> None:
-        await self._server.serve_forever()
-
     async def stop(self) -> None:
         """Say BYE upstream, close every connection and stop listening."""
         self._draining = True
         if self._server is not None:
             self._server.close()
-        for conn in list(self._conns):
-            conn.enqueue_reply(("push", FrameType.BYE, {}, ()))
-            conn.enqueue_reply(_CLOSE)
+        self._say_bye()
         for conn in list(self._conns):
             if conn.writer_task is not None:
                 try:
                     await asyncio.wait_for(conn.writer_task, timeout=5.0)
                 except (asyncio.TimeoutError, asyncio.CancelledError):
                     conn.abort()
-            await self._close_links(conn)
+            await self._on_disconnect(conn)
         self._conns.clear()
         if self._server is not None:
             await self._server.wait_closed()
 
-    async def _close_links(self, conn: _RouterConn) -> None:
+    async def _on_disconnect(self, conn: _RouterConn) -> None:
+        """Close the connection's backend links."""
         for backend in list(conn.links):
             await self._drop_link(conn, backend)
         conn.links.clear()
@@ -568,7 +440,7 @@ class DetectionRouter:
                     start = time.perf_counter()
                     if batch:
                         self.fanin_batches += 1
-                        conn.push_events(batch)
+                        conn.push_events(sorted({e.stream_id for e in batch}), batch)
                     self.profile["fanin"] += time.perf_counter() - start
                 finally:
                     client.events.task_done()
@@ -738,83 +610,14 @@ class DetectionRouter:
     # ------------------------------------------------------------------
     # connection handling
     # ------------------------------------------------------------------
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        conn = _RouterConn(self, writer)
-        conn.writer_task = asyncio.ensure_future(self._writer_loop(conn))
-        self._conns.add(conn)
-        try:
-            await self._serve_frames(conn, reader)
-        except (asyncio.IncompleteReadError, ConnectionError):
-            pass  # peer disconnected
-        except ProtocolError as exc:
-            conn.enqueue_reply(("push", FrameType.ERROR, {"message": str(exc)}, ()))
-        except Exception:  # pragma: no cover - defensive
-            _logger.exception("router connection %s: unexpected error", conn.namespace)
-        finally:
-            self._conns.discard(conn)
-            conn.enqueue_reply(_CLOSE)
-            if conn.writer_task is not None:
-                try:
-                    await conn.writer_task
-                except asyncio.CancelledError:  # pragma: no cover
-                    pass
-            await self._close_links(conn)
-            try:
-                writer.close()
-            except Exception:  # pragma: no cover
-                pass
+    def _reply_hello(self, conn: _RouterConn, fresh: bool) -> None:
+        def fmt(result):
+            removed, info = result
+            meta = conn.hello_meta(info.get("mode"), info.get("window_size"), removed)
+            meta["router"] = {"backends": len(self._backends)}
+            return FrameType.OK, meta, ()
 
-    async def _serve_frames(self, conn: _RouterConn, reader) -> None:
-        hello = await protocol.read_frame_async(reader)
-        if hello.type != FrameType.HELLO:
-            raise ProtocolError("the first frame must be HELLO")
-        forced_namespace: str | None = None
-        if self._auth is not None:
-            # Authenticate before counting the connection and before
-            # _finish_hello may touch any backend (a ``fresh`` handshake
-            # drops streams): a rejected peer leaves the fleet untouched.
-            try:
-                forced_namespace = self._auth.authenticate(hello.meta.get("token"))
-            except AuthError as exc:
-                self.auth_rejected += 1
-                conn.enqueue_reply(
-                    (
-                        "reply",
-                        FrameType.ERROR,
-                        {
-                            "message": f"authentication failed: {exc}",
-                            "auth": "denied",
-                        },
-                        (),
-                    )
-                )
-                return
-            self.auth_accepted += 1
-        self._conn_counter += 1
-        namespace = (
-            forced_namespace or hello.meta.get("namespace") or f"r{self._conn_counter}"
-        )
-        if not isinstance(namespace, str) or "/" in namespace or not namespace:
-            raise ProtocolError("namespace must be a non-empty string without '/'")
-        conn.namespace = namespace
-        conn.prefix = namespace + "/"
-        requested = hello.meta.get("protocol", protocol.BASELINE_VERSION)
-        if not isinstance(requested, int) or requested < 1:
-            raise ProtocolError("'protocol' must be a positive integer")
-        conn.version = max(
-            protocol.BASELINE_VERSION,
-            min(requested, self.config.max_protocol, protocol.PROTOCOL_VERSION),
-        )
-        fresh = bool(hello.meta.get("fresh"))
-        self._spawn_reply(
-            conn, self._finish_hello(conn, fresh), self._format_hello(conn)
-        )
-        while True:
-            frame = await protocol.read_frame_async(reader)
-            self._handle_request(conn, frame)
-            await asyncio.sleep(0)  # let the writer and tasks breathe
+        conn.reply_later(self._finish_hello(conn, fresh), fmt)
 
     async def _finish_hello(self, conn: _RouterConn, fresh: bool) -> tuple[int, dict]:
         """Eagerly connect this namespace to every backend.
@@ -837,106 +640,46 @@ class DetectionRouter:
                 info = client.server_info
         return removed, info
 
-    def _format_hello(self, conn: _RouterConn):
-        def fmt(result):
-            removed, info = result
-            return (
-                FrameType.OK,
-                {
-                    "namespace": conn.namespace,
-                    "protocol": conn.version,
-                    "mode": info.get("mode"),
-                    "window_size": info.get("window_size"),
-                    "removed_streams": removed,
-                    "router": {"backends": len(self._backends)},
-                },
-                (),
-            )
-
-        return fmt
-
-    def _spawn_reply(self, conn: _RouterConn, coro, formatter) -> asyncio.Future:
-        """Run ``coro`` as a task whose result answers in request order."""
-        task = asyncio.ensure_future(coro)
-        conn.enqueue_reply(("future", task, formatter))
-        return task
-
     # ------------------------------------------------------------------
     # request dispatch
     # ------------------------------------------------------------------
     def _handle_request(self, conn: _RouterConn, frame: Frame) -> None:
         kind = frame.type
-        try:
-            if kind == FrameType.REGISTER:
-                self._handle_register(conn, frame)
-            elif kind in (
-                FrameType.INGEST,
-                FrameType.INGEST_LOCKSTEP,
-                FrameType.INGEST_HOT,
-                FrameType.LOCKSTEP_HOT,
-            ):
-                self._handle_ingest(conn, frame)
-            elif kind == FrameType.SUBSCRIBE:
-                self._handle_subscribe(conn, frame)
-            elif kind == FrameType.REPLAY:
-                self._handle_replay(conn, frame)
-            elif kind == FrameType.SNAPSHOT:
-                requested = (
-                    self._stream_list(frame)
-                    if frame.meta.get("streams") is not None
-                    else None
-                )
-                self._spawn_reply(
-                    conn,
-                    self._forward_snapshot(conn, requested),
-                    self._format_snapshot,
-                )
-            elif kind == FrameType.RESTORE:
-                self._handle_restore(conn, frame)
-            elif kind == FrameType.REMOVE:
-                ids = self._stream_list(frame)
-                self._spawn_reply(
-                    conn,
-                    self._forward_remove(conn, ids),
-                    lambda n: (FrameType.OK, {"removed": n}, ()),
-                )
-            elif kind == FrameType.STATS:
-                self._spawn_reply(
-                    conn,
-                    self._forward_stats(conn, bool(frame.meta.get("periods"))),
-                    lambda stats: (FrameType.OK, stats, ()),
-                )
-            else:
-                raise ProtocolError(f"unexpected frame type {kind.name}")
-        except UnknownHandleError as exc:
-            conn.enqueue_reply(("reply", FrameType.ERROR, {"message": str(exc)}, ()))
-
-    @staticmethod
-    def _stream_list(frame: Frame) -> list[str]:
-        ids = frame.meta.get("streams")
-        if not isinstance(ids, list) or not all(isinstance(s, str) for s in ids):
-            raise ProtocolError("'streams' must be a list of stream names")
-        if len(set(ids)) != len(ids):
-            raise ProtocolError("duplicate stream names in one request")
-        return ids
-
-    def _handle_register(self, conn: _RouterConn, frame: Frame) -> None:
-        names = self._stream_list(frame)
-        handles = []
-        for name in names:
-            if not name:
-                raise ProtocolError("stream names must be non-empty")
-            handle = conn.intern(name)
-            conn.peer_known.add(handle)
-            handles.append(handle)
-        conn.enqueue_reply(("reply", FrameType.OK, {"handles": handles}, ()))
+        if kind == FrameType.REGISTER:
+            conn.register(frame)
+        elif kind in (
+            FrameType.INGEST,
+            FrameType.INGEST_LOCKSTEP,
+            FrameType.INGEST_HOT,
+            FrameType.LOCKSTEP_HOT,
+        ):
+            self._handle_ingest(conn, frame)
+        elif kind == FrameType.SUBSCRIBE:
+            self._handle_subscribe(conn, frame)
+        elif kind == FrameType.REPLAY:
+            self._handle_replay(conn, frame)
+        elif kind == FrameType.SNAPSHOT:
+            requested = (
+                stream_list(frame) if frame.meta.get("streams") is not None else None
+            )
+            conn.reply_later(self._forward_snapshot(conn, requested), snapshot_reply)
+        elif kind == FrameType.RESTORE:
+            self._handle_restore(conn, frame)
+        elif kind == FrameType.REMOVE:
+            conn.reply_later(
+                self._forward_remove(conn, stream_list(frame)),
+                lambda n: (FrameType.OK, {"removed": n}, ()),
+            )
+        elif kind == FrameType.STATS:
+            conn.reply_later(
+                self._forward_stats(conn, bool(frame.meta.get("periods"))),
+                lambda stats: (FrameType.OK, stats, ()),
+            )
+        else:
+            raise ProtocolError(f"unexpected frame type {kind.name}")
 
     def _handle_subscribe(self, conn: _RouterConn, frame: Frame) -> None:
-        scope = frame.meta.get("scope", "own")
-        if scope not in ("own", "all"):
-            raise ProtocolError(
-                f"subscribe scope must be 'own' or 'all', got {scope!r}"
-            )
+        scope = request_scope(frame, "subscribe")
         conn.subscription = scope
 
         async def run() -> str:
@@ -944,7 +687,7 @@ class DetectionRouter:
                 await self._on_link(conn, backend, self._subscribe_op(conn, scope))
             return scope
 
-        self._spawn_reply(conn, run(), lambda s: (FrameType.OK, {"scope": s}, ()))
+        conn.reply_later(run(), lambda s: (FrameType.OK, {"scope": s}, ()))
 
     def _subscribe_op(self, conn: _RouterConn, scope: str):
         async def op(client: AsyncDetectionClient):
@@ -959,74 +702,34 @@ class DetectionRouter:
 
     # -- ingest forwarding (the hot path) ------------------------------
     def _handle_ingest(self, conn: _RouterConn, frame: Frame) -> None:
-        if self._draining:
-            conn.enqueue_reply(
-                ("reply", FrameType.ERROR, {"message": "router is draining"}, ())
-            )
-            return
-        if conn.inflight >= self.config.max_inflight:
-            self.busy_replies += 1
-            conn.enqueue_reply(
-                ("reply", FrameType.BUSY, {"inflight": conn.inflight}, ())
-            )
+        if self._refuse_ingest(conn):
             return
         hot = frame.type in (FrameType.INGEST_HOT, FrameType.LOCKSTEP_HOT)
         lockstep = frame.type in (FrameType.INGEST_LOCKSTEP, FrameType.LOCKSTEP_HOT)
+        arrays: list[np.ndarray] | None = None
+        handles: list[int] | None = None
         if hot:
-            raw_handles = list(frame.meta["handles"])
-            local_ids = conn.resolve_handles(raw_handles)
-            if len(set(local_ids)) != len(local_ids):
-                raise ProtocolError("duplicate stream handles in one request")
-            matrix = frame.arrays[0]
+            handles, local_ids, matrix = conn.hot_request(frame)
             # The decoded matrix is a zero-copy view into the network
             # buffer; own the bytes before handing rows to concurrent
             # forward tasks.
             matrix = np.ascontiguousarray(matrix)
-            arrays: list[np.ndarray] | None = None
             self.hot_forwards += 1
         else:
-            local_ids = self._stream_list(frame)
-            if frame.type == FrameType.INGEST_LOCKSTEP:
-                if len(frame.arrays) != 1 or frame.arrays[0].ndim != 2:
-                    raise ProtocolError("INGEST_LOCKSTEP carries one 2-D matrix")
-                matrix = np.ascontiguousarray(frame.arrays[0])
-                if matrix.shape[0] != len(local_ids):
-                    raise ProtocolError("lockstep matrix rows must match 'streams'")
-                arrays = None
+            local_ids = stream_list(frame)
+            payload = json_ingest_payload(frame, local_ids)
+            if lockstep:
+                matrix = np.ascontiguousarray(payload)
             else:
-                if len(frame.arrays) != len(local_ids):
-                    raise ProtocolError(
-                        f"INGEST carries {len(frame.arrays)} arrays for "
-                        f"{len(local_ids)} streams"
-                    )
                 matrix = None
-                arrays = [np.array(arr, copy=True) for arr in frame.arrays]
+                arrays = [np.array(arr, copy=True) for arr in payload]
             self.json_forwards += 1
         conn.inflight += 1
-        task = self._spawn_reply(
-            conn,
+        task = conn.reply_later(
             self._forward_ingest(conn, local_ids, matrix, arrays, lockstep),
-            self._format_ingest_reply(conn, local_ids, raw_handles if hot else None),
+            conn.ingest_formatter(local_ids, handles),
         )
         task.add_done_callback(lambda _t: setattr(conn, "inflight", conn.inflight - 1))
-
-    def _format_ingest_reply(
-        self, conn: _RouterConn, local_ids: list[str], handles: list[int] | None
-    ):
-        positions = {sid: pos for pos, sid in enumerate(local_ids)}
-
-        def fmt(events: list[PeriodStartEvent]):
-            table = protocol.events_to_array(events, positions)
-            if handles is not None and conn.version >= 3:
-                return (
-                    "raw",
-                    protocol.encode_hot_events(
-                        FrameType.EVENTS_HOT, handles, table, version=conn.version
-                    ),
-                )
-            return FrameType.EVENTS, {"streams": local_ids}, (table,)
-
-        return fmt
 
     async def _forward_ingest(
         self,
@@ -1084,22 +787,7 @@ class DetectionRouter:
 
     # -- replay fan-in -------------------------------------------------
     def _handle_replay(self, conn: _RouterConn, frame: Frame) -> None:
-        stream = frame.meta.get("stream")
-        if not isinstance(stream, str) or not stream:
-            raise ProtocolError("'stream' must be a non-empty stream name")
-        scope = frame.meta.get("scope", "own")
-        if scope not in ("own", "all"):
-            raise ProtocolError(f"replay scope must be 'own' or 'all', got {scope!r}")
-        try:
-            from_seq = int(frame.meta["from_seq"])
-            upto_raw = frame.meta.get("upto")
-            upto = None if upto_raw is None else int(upto_raw)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ProtocolError(
-                "'from_seq' (and optional 'upto') must be integers"
-            ) from exc
-        if from_seq < 0 or (upto is not None and upto < from_seq):
-            raise ProtocolError("replay range must satisfy 0 <= from_seq <= upto")
+        stream, scope, from_seq, upto = replay_request(frame)
 
         async def run():
             async def op_for(client: AsyncDetectionClient):
@@ -1121,25 +809,11 @@ class DetectionRouter:
             self.replays_served += 1
             return protocol.merge_replay_answers(answers, from_seq, upto)
 
-        def fmt(result):
-            events, first_available = result
-            table = protocol.events_to_array(events, {stream: 0})
-            meta: dict = {"streams": [stream], "stream": stream, "from_seq": from_seq}
-            if upto is not None:
-                meta["upto"] = upto
-            if first_available is not None:
-                meta["first_available"] = first_available
-                return FrameType.EVENTS_GAP, meta, (table,)
-            return FrameType.EVENTS, meta, (table,)
-
-        self._spawn_reply(conn, run(), fmt)
+        conn.reply_later(
+            run(), lambda result: replay_reply(stream, from_seq, upto, *result)
+        )
 
     # -- state + stats -------------------------------------------------
-    @staticmethod
-    def _format_snapshot(states: dict):
-        tree, arrays = protocol.pack_object(states)
-        return FrameType.OK, {"states": tree}, tuple(arrays)
-
     async def _forward_snapshot(
         self, conn: _RouterConn, requested: list[str] | None
     ) -> dict:
@@ -1154,9 +828,7 @@ class DetectionRouter:
         return merged
 
     def _handle_restore(self, conn: _RouterConn, frame: Frame) -> None:
-        states = protocol.unpack_object(frame.meta.get("states"), frame.arrays)
-        if not isinstance(states, dict):
-            raise ProtocolError("RESTORE meta must carry a 'states' mapping")
+        states = restore_states(frame)
 
         async def run() -> int:
             await self._acquire_forward()
@@ -1181,7 +853,7 @@ class DetectionRouter:
                 self._release_forward()
             return sum(counts)
 
-        self._spawn_reply(conn, run(), lambda n: (FrameType.OK, {"restored": n}, ()))
+        conn.reply_later(run(), lambda n: (FrameType.OK, {"restored": n}, ()))
 
     async def _forward_remove(self, conn: _RouterConn, ids: list[str]) -> int:
         await self._acquire_forward()
@@ -1253,19 +925,12 @@ class DetectionRouter:
                     "migrated_streams": self.migrated_streams,
                 },
                 "profile": dict(self.profile),
-                "protocol": {
-                    "supported": protocol.PROTOCOL_VERSION,
-                    "max": self.config.max_protocol,
-                    "connection": conn.version,
-                },
+                "protocol": self._protocol_stats(conn),
                 "backends": per_backend,
             },
         }
         if self._auth is not None:
-            result["server"]["auth"] = {
-                "accepted": self.auth_accepted,
-                "rejected": self.auth_rejected,
-            }
+            result["server"]["auth"] = self._auth_stats()
         # Per-namespace quota counters are all integers by contract
         # (see QuotaManager.stats), so a tenant spread across backends
         # aggregates by plain summation.
@@ -1292,103 +957,11 @@ class DetectionRouter:
             result["periods"] = merged_periods
         return result
 
-    # ------------------------------------------------------------------
-    # writer task
-    # ------------------------------------------------------------------
-    def _encode_entry(self, conn: _RouterConn, entry) -> list:
-        start = time.perf_counter()
-        try:
-            if entry[0] == "push_hot":
-                _, handles, announce, table = entry
-                return protocol.encode_hot_events(
-                    FrameType.EVENT_HOT, handles, table, announce, version=conn.version
-                )
-            _, ftype, meta, arrays = entry
-            return protocol.encode_frame(ftype, meta, arrays, version=conn.version)
-        finally:
-            self.profile["encode"] += time.perf_counter() - start
-
-    async def _writer_loop(self, conn: _RouterConn) -> None:
-        """Flush the upstream outbox in FIFO order, one write per wakeup.
-
-        Futures resolve in place (flushing what is already encoded
-        first); a failed forward becomes a BUSY frame (backend
-        backpressure passes through) or an ERROR frame.  A write failure
-        marks the connection dead but keeps draining entries so tasks
-        never block on a gone peer.
-        """
-        pending: list = []
-
-        async def flush() -> None:
-            if pending and not conn.dead:
-                start = time.perf_counter()
-                try:
-                    conn.writer.writelines(pending)
-                    await conn.writer.drain()
-                except (ConnectionError, RuntimeError):
-                    conn.dead = True
-                self.profile["syscall"] += time.perf_counter() - start
-            pending.clear()
-
-        while True:
-            entry = await conn.outbox.get()
-            batch = [entry]
-            while entry is not _CLOSE:
-                try:
-                    entry = conn.outbox.get_nowait()
-                except asyncio.QueueEmpty:
-                    break
-                batch.append(entry)
-            closing = False
-            for entry in batch:
-                if entry is _CLOSE:
-                    closing = True
-                    break
-                if entry[0] == "future":
-                    _, future, formatter = entry
-                    if not future.done():
-                        await flush()  # ship encoded frames before waiting
-                        await asyncio.wait([future])
-                    if future.cancelled():
-                        continue
-                    exc = future.exception()
-                    if exc is not None:
-                        if isinstance(exc, ServerBusy):
-                            self.busy_replies += 1
-                            resolved = ("reply", FrameType.BUSY, {}, ())
-                        else:
-                            resolved = (
-                                "reply",
-                                FrameType.ERROR,
-                                {"message": f"{type(exc).__name__}: {exc}"},
-                                (),
-                            )
-                    else:
-                        formatted = formatter(future.result())
-                        if formatted[0] == "raw":
-                            if not conn.dead:
-                                pending.extend(formatted[1])
-                            continue
-                        ftype, meta, arrays = formatted
-                        resolved = ("reply", ftype, meta, arrays)
-                else:
-                    resolved = entry
-                    if resolved[0] == "push_hot" or (
-                        resolved[0] == "push" and resolved[1] == FrameType.EVENT
-                    ):
-                        conn.queued_pushes = max(0, conn.queued_pushes - 1)
-                if conn.dead:
-                    continue
-                pending.extend(self._encode_entry(conn, resolved))
-            await flush()
-            if closing:
-                return
-
 
 # ----------------------------------------------------------------------
 # threaded hosting (tests, benchmarks)
 # ----------------------------------------------------------------------
-class RouterThread:
+class RouterThread(LoopThread):
     """Host a :class:`DetectionRouter` on a private loop in a daemon
     thread — the router twin of :class:`~repro.server.server.ServerThread`::
 
@@ -1400,50 +973,7 @@ class RouterThread:
         self, backends: Sequence[str], config: RouterConfig | None = None
     ) -> None:
         self.router = DetectionRouter(backends, config)
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._thread = None
-        self._ready = None
-        self._startup_error: BaseException | None = None
-
-    def start(self) -> tuple[str, int]:
-        import threading
-
-        if self._thread is not None:
-            raise ValidationError("router thread already started")
-        self._ready = threading.Event()
-        self._thread = threading.Thread(
-            target=self._run, name="repro-router", daemon=True
-        )
-        self._thread.start()
-        self._ready.wait()
-        if self._startup_error is not None:
-            self._thread.join()
-            raise self._startup_error
-        return self.router.host, self.router.port
-
-    def _run(self) -> None:
-        loop = asyncio.new_event_loop()
-        asyncio.set_event_loop(loop)
-        self._loop = loop
-        try:
-            loop.run_until_complete(self.router.start())
-        except BaseException as exc:  # surface bind errors in start()
-            self._startup_error = exc
-            self._ready.set()
-            loop.close()
-            return
-        self._ready.set()
-        try:
-            loop.run_forever()
-        finally:
-            loop.run_until_complete(loop.shutdown_asyncgens())
-            loop.close()
-
-    def _call(self, coro, timeout: float):
-        if self._loop is None:
-            raise ValidationError("router thread not started")
-        future = asyncio.run_coroutine_threadsafe(coro, self._loop)
-        return future.result(timeout)
+        super().__init__(self.router, "repro-router")
 
     def add_backend(self, address: str, timeout: float = 60.0) -> int:
         """Join a backend (see :meth:`DetectionRouter.add_backend`)."""
@@ -1452,20 +982,3 @@ class RouterThread:
     def remove_backend(self, address: str, timeout: float = 60.0) -> int:
         """Drain a backend (see :meth:`DetectionRouter.remove_backend`)."""
         return self._call(self.router.remove_backend(address), timeout)
-
-    def stop(self, timeout: float = 30.0) -> None:
-        if self._thread is None or self._loop is None:
-            return
-        if self._thread.is_alive():
-            future = asyncio.run_coroutine_threadsafe(self.router.stop(), self._loop)
-            try:
-                future.result(timeout=timeout)
-            finally:
-                self._loop.call_soon_threadsafe(self._loop.stop)
-                self._thread.join(timeout=timeout)
-
-    def __enter__(self) -> tuple[str, int]:
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.stop()

@@ -18,6 +18,7 @@ clients working through a v3 router.
 
 from __future__ import annotations
 
+import asyncio
 import os
 import re
 import signal
@@ -31,9 +32,9 @@ import numpy as np
 import pytest
 
 from _server_helpers import event_config, event_traces
-from repro.server.client import DetectionClient
-from repro.server.router import RouterConfig, RouterThread, parse_backend
-from repro.server.server import ServerConfig, ServerThread
+from repro.server.client import AsyncDetectionClient, DetectionClient
+from repro.server.endpoint import Endpoint
+from repro.server.router import DetectionRouter, RouterConfig, RouterThread
 from repro.service.pool import DetectorPool, PoolConfig
 from repro.util.validation import ValidationError
 
@@ -162,6 +163,42 @@ class TestEquivalence:
             assert router["hot_forwards"] == 3
             assert router["json_forwards"] == 0
             assert stats["pool"]["streams"] == len(traces)
+
+    def test_lockstep_frames_in_flight_on_a_fresh_connection(self, cluster):
+        # Several LOCKSTEP_HOT frames go out at once on a connection whose
+        # stream names nothing has registered yet: not the router's
+        # upstream table, not the backend links.  Each frame's forward
+        # registers on the links while the next frames are already in
+        # flight; the backends must still see every stream's frames in
+        # order, so the replies match one in-process pool seq for seq.
+        traces = event_traces(16, samples=192)
+        ids = list(traces)
+        matrix = np.stack([traces[sid] for sid in ids])
+        frames = [matrix[:, lo : lo + 4] for lo in range(0, 192, 4)]
+        in_flight = 8
+        _, host, port = cluster(2)
+
+        async def produce(namespace: str) -> list:
+            client = await AsyncDetectionClient.connect(
+                f"repro://{host}:{port}", namespace=namespace
+            )
+            events = []
+            try:
+                for lo in range(0, len(frames), in_flight):
+                    replies = await asyncio.gather(
+                        *(
+                            client.ingest_rows(ids, frame, lockstep=True)
+                            for frame in frames[lo : lo + in_flight]
+                        )
+                    )
+                    events.extend(e for reply in replies for e in reply)
+                return events
+            finally:
+                await client.close()
+
+        expected = keyed(DetectorPool(event_config()).ingest_lockstep(traces))
+        for attempt in range(5):  # a fresh namespace, so fresh handles, each
+            assert keyed(asyncio.run(produce(f"fresh-{attempt}"))) == expected
 
 
 class TestMembership:
@@ -423,13 +460,12 @@ def test_backend_sigkill_and_respawn_resumes_exact_seqs(tmp_path, loopback):
 
 class TestConfigValidation:
     def test_backend_addresses_must_parse(self):
-        assert parse_backend("127.0.0.1:8757") == ("127.0.0.1", 8757)
-        with pytest.raises(ValidationError):
-            parse_backend("no-port")
-        with pytest.raises(ValidationError):
-            parse_backend(":123")
-        with pytest.raises(ValidationError):
-            parse_backend("host:abc")
+        assert Endpoint.parse("127.0.0.1:8757") == Endpoint("127.0.0.1", 8757)
+        for address in ("no-port", ":123", "host:abc"):
+            with pytest.raises(ValidationError):
+                Endpoint.parse(address)
+            with pytest.raises(ValidationError):
+                DetectionRouter([address])
 
     def test_router_needs_a_backend(self):
         from repro.server.router import DetectionRouter
@@ -444,3 +480,5 @@ class TestConfigValidation:
             RouterConfig(retry_delay=0.0)
         with pytest.raises(ValidationError):
             RouterConfig(max_protocol=99)
+        with pytest.raises(ValidationError):
+            RouterConfig(port=70000)

@@ -148,8 +148,8 @@ class TestNamespacing:
         with DetectionClient(host, port) as c1, DetectionClient(host, port) as c2:
             assert c1.namespace != c2.namespace
 
-    def test_bad_namespace_rejected(self, loopback):
-        _, host, port = loopback(event_config())
+    def test_bad_namespace_rejected(self, daemon):
+        host, port = daemon(event_config())
         with pytest.raises((ServerError, ConnectionError)):
             DetectionClient(host, port, namespace="a/b")
 
@@ -232,18 +232,32 @@ class TestBackpressure:
 
 
 class TestProtocolAbuse:
-    def test_request_before_hello_is_rejected(self, loopback):
+    def test_request_before_hello_is_rejected(self, daemon):
         import socket
 
         from repro.server import protocol
         from repro.server.protocol import FrameType
 
-        _, host, port = loopback(event_config())
+        host, port = daemon(event_config())
         with socket.create_connection((host, port), timeout=10) as sock:
             protocol.write_frame(sock, FrameType.STATS, {})
             frame = protocol.read_frame(sock)
             assert frame.type == FrameType.ERROR
             assert "HELLO" in frame.meta["message"]
+
+    def test_hello_with_protocol_zero_is_rejected(self, daemon):
+        import socket
+
+        from repro.server import protocol
+        from repro.server.protocol import FrameType
+
+        host, port = daemon(event_config())
+        with socket.create_connection((host, port), timeout=10) as sock:
+            hello = {"namespace": "x", "protocol": 0}
+            protocol.write_frame(sock, FrameType.HELLO, hello)
+            frame = protocol.read_frame(sock)
+            assert frame.type == FrameType.ERROR
+            assert "'protocol' must be a positive integer" in frame.meta["message"]
 
     def test_ingest_with_mismatched_arrays_is_an_error(self, loopback):
         import socket
